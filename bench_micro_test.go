@@ -26,8 +26,8 @@ import (
 // phaseCounters taps the qor evaluator's simulate/decode phase counters
 // through the process-global registry (get-or-create by name, so these are
 // the same counters internal/qor increments). Deltas around a timed leg
-// attribute the leg's decode share — the Amdahl denominator the lane-shared
-// decode (internal/qor decode.go) exists to shrink.
+// attribute the leg's decode share (time in computeBatchStats) — the Amdahl
+// ceiling on what fusing compile and simulation across lanes can win.
 func phaseCounters() (sim, dec *telemetry.Counter) {
 	r := telemetry.Default()
 	return r.Counter("blasys_qor_eval_sim_seconds_total", ""),

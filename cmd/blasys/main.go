@@ -213,11 +213,11 @@ func run(benchName, blifPath string, k, m int, threshold float64, metricName str
 	if err != nil {
 		return err
 	}
-	fmt.Printf("approx    %-8s %s=%.5f (%d samples)  area %.1f (-%.1f%%)  power %.1f (-%.1f%%)  delay %.3f (-%.1f%%)\n",
+	fmt.Printf("approx    %-8s %s=%.5f (%d samples)  area %.1f (%s)  power %.1f (%s)  delay %.3f (%s)\n",
 		circ.Name, metric, rep.Value(metric), rep.Samples,
-		met.Area, savings(accMet.Area, met.Area),
-		met.Power, savings(accMet.Power, met.Power),
-		met.Delay, savings(accMet.Delay, met.Delay))
+		met.Area, change(accMet.Area, met.Area),
+		met.Power, change(accMet.Power, met.Power),
+		met.Delay, change(accMet.Delay, met.Delay))
 
 	if tracePath != "" {
 		if err := writeTrace(tracePath, res); err != nil {
@@ -247,11 +247,13 @@ func run(benchName, blifPath string, k, m int, threshold float64, metricName str
 	return nil
 }
 
-func savings(accurate, approx float64) float64 {
+// change formats approx relative to accurate as a signed percentage: a
+// saving prints as "-12.3%", growth as "+1.6%".
+func change(accurate, approx float64) string {
 	if accurate == 0 {
-		return 0
+		return "n/a"
 	}
-	return 100 * (accurate - approx) / accurate
+	return fmt.Sprintf("%+.1f%%", 100*(approx-accurate)/accurate)
 }
 
 func writeTrace(path string, res *core.Result) error {

@@ -137,51 +137,7 @@ func TestBatchWidthExcludedFromDigest(t *testing.T) {
 	wide := base
 	wide.BatchWidth = 16
 	wide.Workers = 9
-	wide.DisableLaneDecode = true
 	if configDigest(base) != configDigest(wide) {
-		t.Fatal("BatchWidth/Workers/DisableLaneDecode changed the config digest; scheduling knobs must not")
-	}
-}
-
-// TestLaneDecodeDeterminism explores and profiles with the lane-shared decode
-// (the default) and with DisableLaneDecode, and requires bit-identical
-// trajectories and profile surfaces — the decode strategy must be a pure
-// scheduling knob, exactly like BatchWidth above.
-func TestLaneDecodeDeterminism(t *testing.T) {
-	mult8 := bench.Mult8()
-	cfg := Config{
-		K: 6, M: 4, Samples: 1 << 10, Seed: 17, ExploreFully: true, MaxSteps: 8,
-		Workers: 2, BatchWidth: 8,
-	}
-	ref, err := Approximate(mult8.Circ, mult8.Spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ref.Steps) == 0 {
-		t.Fatal("exploration made no steps")
-	}
-	cfg.DisableLaneDecode = true
-	scalar, err := Approximate(mult8.Circ, mult8.Spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameExploration(t, 8, ref, scalar)
-
-	ctx := context.Background()
-	refSurf, err := ref.BlockErrorProfiles(ctx, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scalarSurf, err := scalar.BlockErrorProfiles(ctx, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for bi := range refSurf {
-		for f := range refSurf[bi] {
-			if refSurf[bi][f] != scalarSurf[bi][f] {
-				t.Fatalf("block %d degree %d: lane-shared %+v != scalar decode %+v",
-					bi, f+1, refSurf[bi][f], scalarSurf[bi][f])
-			}
-		}
+		t.Fatal("BatchWidth/Workers changed the config digest; scheduling knobs must not")
 	}
 }

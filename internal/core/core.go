@@ -90,13 +90,6 @@ type Config struct {
 	// and trajectories, so it is excluded from the checkpoint config digest.
 	// Ignored on the paper-literal paths (Sequence, DisableIncremental).
 	BatchWidth int
-	// DisableLaneDecode falls the batched evaluator back from the
-	// lane-shared metric decode to the per-lane scalar decode (see
-	// internal/qor's decode.go). Like BatchWidth it is pure scheduling —
-	// both decodes produce bit-identical reports — so it is excluded from
-	// the checkpoint config digest. Exists for A/B measurement (the
-	// experiment harness's decode axis); leave it false for speed.
-	DisableLaneDecode bool
 	// SynthExact uses exact two-level minimization for block synthesis.
 	SynthExact bool
 	// Basis selects the factor family; see the Basis constants.
@@ -332,7 +325,6 @@ func newCandidateEvaluator(res *Result, blocks []partition.Block, cfg Config) (c
 		if cfg.BatchWidth > 0 {
 			ic.SetLanes(cfg.BatchWidth)
 		}
-		ic.SetLaneDecode(!cfg.DisableLaneDecode)
 		return &incrementalEval{res: res, ic: ic}, nil
 	}
 	cmp, err := qor.NewComparer(res.Circuit, res.Spec, cfg.Sequence, cfg.Samples, cfg.Seed)

@@ -112,11 +112,8 @@ type Options struct {
 	// untouched; terminal jobs are always restored for serving.
 	Resume bool
 	// Logger sinks the engine's structured warnings (durability, replay,
-	// span journaling). Nil falls back to Logf when set, else slog.Default().
+	// span journaling). Nil means slog.Default().
 	Logger *slog.Logger
-	// Logf is the legacy printf-style warning sink, kept for embedders;
-	// prefer Logger. When only Logf is set it is wrapped as a slog handler.
-	Logf func(format string, args ...any)
 }
 
 func (o Options) withDefaults() Options {
@@ -137,11 +134,7 @@ func (o Options) withDefaults() Options {
 		o.RetainJobs = 1024
 	}
 	if o.Logger == nil {
-		if o.Logf != nil {
-			o.Logger = telemetry.LogfLogger(o.Logf)
-		} else {
-			o.Logger = slog.Default()
-		}
+		o.Logger = slog.Default()
 	}
 	return o
 }

@@ -1,7 +1,6 @@
 // Package exp is the reproducible experiment harness: it turns a JSON grid
-// manifest (axes over circuit, workers, batch width, decode strategy,
-// incremental on/off, cache warmth, fault schedule; a fixed seed list;
-// repeats) into a full
+// manifest (axes over circuit, workers, batch width, incremental on/off,
+// cache warmth, fault schedule; a fixed seed list; repeats) into a full
 // cross-product of experiment cells, executes every cell through the library
 // API (core.Approximate, or the durable engine when a fault axis is
 // declared), and writes a dated output folder with per-cell JSON, per-seed
@@ -44,14 +43,9 @@ type Manifest struct {
 	// three seeds, directional consistency required).
 	Type string `json:"type"`
 	// Workload selects what each cell executes: "explore" (the default —
-	// one full Approximate run), "profiles" (an Approximate run to build
+	// one full Approximate run) or "profiles" (an Approximate run to build
 	// block profiles, then a timed BlockErrorProfiles ladder sweep — the
-	// lane-packed batch kernel's showcase workload), or "ladder" (a timed
-	// dense same-block candidate ladder driven straight through
-	// CompareCandidates: seeded random implementations fill every lane of
-	// the widest block, the decode-bound regime the lane-shared metric
-	// decode targets; only the circuit, batch_width, and decode axes
-	// apply).
+	// lane-packed batch kernel's showcase workload).
 	Workload string `json:"workload,omitempty"`
 	// Seeds is the fixed seed list; every cell runs once per seed (times
 	// Repeats). Statistical manifests need at least three.
@@ -89,12 +83,6 @@ type Axes struct {
 	Workers []int `json:"workers,omitempty"`
 	// BatchWidth values map to core.Config.BatchWidth (0 = default lanes).
 	BatchWidth []int `json:"batch_width,omitempty"`
-	// Decode selects the batched evaluator's metric decode: "lane" (the
-	// lane-shared batch decode, the default) or "scalar" (the per-lane
-	// scalar decode, via core.Config.DisableLaneDecode). Pure scheduling —
-	// the decodes are bit-identical — so the axis exists for A/B throughput
-	// comparison.
-	Decode []string `json:"decode,omitempty"`
 	// Incremental false selects the paper-literal rebuild+resimulate path
 	// (core.Config.DisableIncremental).
 	Incremental []bool `json:"incremental,omitempty"`
@@ -119,7 +107,7 @@ type Pass struct {
 	// "wall_seconds", "explore_seconds", "steps", "best_error", "norm_area".
 	Metric string `json:"metric,omitempty"`
 	// CompareAxis is the axis under test: "circuit", "workers",
-	// "batch_width", "decode", "incremental", "cache", or "faults".
+	// "batch_width", "incremental", "cache", or "faults".
 	CompareAxis string `json:"compare_axis"`
 	// Baseline is the CompareAxis value (in axis-token string form, e.g.
 	// "false", "1", "none") the others are measured against. Required for
@@ -146,7 +134,6 @@ const (
 
 	WorkloadExplore  = "explore"
 	WorkloadProfiles = "profiles"
-	WorkloadLadder   = "ladder"
 
 	KindRatio = "ratio"
 	KindEqual = "equal"
@@ -220,15 +207,9 @@ func (m *Manifest) validate() error {
 		seen[s] = true
 	}
 	switch m.Workload {
-	case "", WorkloadExplore, WorkloadProfiles, WorkloadLadder:
+	case "", WorkloadExplore, WorkloadProfiles:
 	default:
 		return fmt.Errorf("exp: manifest %s: unknown workload %q", m.Name, m.Workload)
-	}
-	if m.Workload == WorkloadLadder {
-		if len(m.Axes.Workers) > 0 || len(m.Axes.Incremental) > 0 ||
-			len(m.Axes.Cache) > 0 || len(m.Axes.Faults) > 0 {
-			return fmt.Errorf("exp: manifest %s: the ladder workload drives CompareCandidates directly; only circuit, batch_width, and decode axes apply", m.Name)
-		}
 	}
 	if len(m.Axes.Circuit) == 0 {
 		return fmt.Errorf("exp: manifest %s: the circuit axis needs at least one value", m.Name)
@@ -236,11 +217,6 @@ func (m *Manifest) validate() error {
 	for _, c := range m.Axes.Cache {
 		if c != "cold" && c != "warm" {
 			return fmt.Errorf("exp: manifest %s: cache axis values must be \"cold\" or \"warm\", got %q", m.Name, c)
-		}
-	}
-	for _, d := range m.Axes.Decode {
-		if d != "lane" && d != "scalar" {
-			return fmt.Errorf("exp: manifest %s: decode axis values must be \"lane\" or \"scalar\", got %q", m.Name, d)
 		}
 	}
 	if m.Workload == WorkloadProfiles && len(m.Axes.Faults) > 0 {
@@ -291,7 +267,6 @@ type Cell struct {
 	Circuit     string `json:"circuit"`
 	Workers     int    `json:"workers"`
 	BatchWidth  int    `json:"batch_width"`
-	Decode      string `json:"decode"`
 	Incremental bool   `json:"incremental"`
 	Cache       string `json:"cache"`
 	Faults      string `json:"faults"`
@@ -303,7 +278,7 @@ type Cell struct {
 	UseEngine bool `json:"use_engine"`
 }
 
-var axisNames = []string{"circuit", "workers", "batch_width", "decode", "incremental", "cache", "faults"}
+var axisNames = []string{"circuit", "workers", "batch_width", "incremental", "cache", "faults"}
 
 func axisNameKnown(name string) bool {
 	for _, n := range axisNames {
@@ -331,11 +306,6 @@ func (m *Manifest) axisTokens(axis string) []string {
 			return []string{"0"}
 		}
 		return intTokens(m.Axes.BatchWidth)
-	case "decode":
-		if len(m.Axes.Decode) == 0 {
-			return []string{"lane"}
-		}
-		return append([]string(nil), m.Axes.Decode...)
 	case "incremental":
 		if len(m.Axes.Incremental) == 0 {
 			return []string{"true"}
@@ -405,10 +375,6 @@ func (m *Manifest) Cells() []Cell {
 	if len(widths) == 0 {
 		widths = []int{0}
 	}
-	decodes := m.Axes.Decode
-	if len(decodes) == 0 {
-		decodes = []string{"lane"}
-	}
 	incr := m.Axes.Incremental
 	if len(incr) == 0 {
 		incr = []bool{true}
@@ -426,22 +392,19 @@ func (m *Manifest) Cells() []Cell {
 	for _, circ := range m.Axes.Circuit {
 		for _, w := range workers {
 			for _, bw := range widths {
-				for _, dec := range decodes {
-					for _, inc := range incr {
-						for _, cache := range caches {
-							for fi, flt := range faultAxes {
-								cells = append(cells, Cell{
-									Circuit:     circ,
-									Workers:     w,
-									BatchWidth:  bw,
-									Decode:      dec,
-									Incremental: inc,
-									Cache:       cache,
-									Faults:      flt,
-									FaultsLabel: faultsToken(flt, fi),
-									UseEngine:   useEngine,
-								})
-							}
+				for _, inc := range incr {
+					for _, cache := range caches {
+						for fi, flt := range faultAxes {
+							cells = append(cells, Cell{
+								Circuit:     circ,
+								Workers:     w,
+								BatchWidth:  bw,
+								Incremental: inc,
+								Cache:       cache,
+								Faults:      flt,
+								FaultsLabel: faultsToken(flt, fi),
+								UseEngine:   useEngine,
+							})
 						}
 					}
 				}
@@ -460,8 +423,6 @@ func (c Cell) axisToken(axis string) string {
 		return strconv.Itoa(c.Workers)
 	case "batch_width":
 		return strconv.Itoa(c.BatchWidth)
-	case "decode":
-		return c.Decode
 	case "incremental":
 		return strconv.FormatBool(c.Incremental)
 	case "cache":
@@ -481,9 +442,6 @@ func (m *Manifest) declaredAxes() []string {
 	}
 	if len(m.Axes.BatchWidth) > 0 {
 		axes = append(axes, "batch_width")
-	}
-	if len(m.Axes.Decode) > 0 {
-		axes = append(axes, "decode")
 	}
 	if len(m.Axes.Incremental) > 0 {
 		axes = append(axes, "incremental")
@@ -511,8 +469,6 @@ func (m *Manifest) CellID(c Cell) string {
 			parts = append(parts, "w"+tok)
 		case "batch_width":
 			parts = append(parts, "bw"+tok)
-		case "decode":
-			parts = append(parts, "dec-"+tok)
 		case "incremental":
 			parts = append(parts, "inc-"+tok)
 		case "cache":

@@ -32,11 +32,10 @@ import (
 //	            batch's cached metric partial for every lane and skip the cone
 //	segment 2   shared cone units over all lanes at once; a committed-region
 //	            unit is skipped only when NO lane dirtied its boundary inputs
-//	decode      lane-shared by default (decode.go): one diff/union scan and
-//	            one per-group bit scan per batch feed every dirty lane's
-//	            metric partials, folded through the exact same reportAccum
-//	            code the scalar and paper-literal paths use; SetLaneDecode
-//	            falls back to the per-lane scalar decode
+//	decode      per dirty lane: gather the lane's primary outputs and score
+//	            them with computeBatchStats through one scratch shared by the
+//	            pass, folding into the lane's accumulator with the exact same
+//	            reportAccum code the scalar and paper-literal paths use
 //
 // Each lane computes the identical per-batch word values the scalar program
 // would: lanes whose inputs equal the committed cache recompute exactly the
@@ -90,8 +89,9 @@ type batchScratch struct {
 	// clean[l] records, for the batch in flight, whether lane l's block
 	// outputs matched the committed cache.
 	clean []bool
-	// plan is the lane-shared decode scratch (see decode.go).
-	plan decodePlan
+	// stats is the one decode scratch every dirty lane of the pass scores
+	// through before folding into its accumulator.
+	stats batchStats
 }
 
 // CompareCandidates evaluates substituting each impls[i] into block bi on top
@@ -249,21 +249,18 @@ func (ic *IncrementalComparer) compareChunk(bs *batchScratch, bi int, impls []*l
 			mask = e.lastMask
 		}
 		dstart := time.Now()
-		if ic.laneDecode {
-			cleanLanes += bs.decodeLanes(ic, b, mask)
-		} else {
-			w := bs.packed
-			for l := 0; l < L; l++ {
-				if bs.clean[l] {
-					bs.accs[l].fold(&ic.stats[b])
-					cleanLanes++
-					continue
-				}
-				for i, src := range sc.outSrc {
-					out[i] = w[int(src)*L+l]
-				}
-				bs.accs[l].addBatchRef(out, e.refOut[b], mask, e.refLanes, b)
+		w := bs.packed
+		for l := 0; l < L; l++ {
+			if bs.clean[l] {
+				bs.accs[l].fold(&ic.stats[b])
+				cleanLanes++
+				continue
 			}
+			for i, src := range sc.outSrc {
+				out[i] = w[int(src)*L+l]
+			}
+			computeBatchStats(&e.spec, out, e.refOut[b], e.refVals[b], mask, &bs.stats)
+			bs.accs[l].fold(&bs.stats)
 		}
 		decodeSec += time.Since(dstart).Seconds()
 	}
@@ -272,11 +269,6 @@ func (ic *IncrementalComparer) compareChunk(bs *batchScratch, bi int, impls []*l
 	}
 	mSimSeconds.Add(time.Since(compiled).Seconds())
 	mDecodeSeconds.Add(decodeSec)
-	if p := &bs.plan; p.flipLanes != 0 || p.transLanes != 0 {
-		mDecodeGroups.With("flip").Add(float64(p.flipLanes))
-		mDecodeGroups.With("transpose").Add(float64(p.transLanes))
-		p.flipLanes, p.transLanes = 0, 0
-	}
 	mEvalBatchKind.With("clean").Add(float64(cleanLanes))
 	mEvalBatchKind.With("cone").Add(float64(L*e.nBatches - cleanLanes))
 	mEvalBatches.Observe(float64(e.nBatches))

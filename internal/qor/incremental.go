@@ -60,13 +60,6 @@ type IncrementalComparer struct {
 
 	// lanes is the batch lane width used by CompareCandidates (SetLanes).
 	lanes int
-	// laneDecode selects the lane-shared metric decode for batch passes
-	// (SetLaneDecode); the scalar per-lane decode otherwise.
-	laneDecode bool
-	// transposeBits is the group width at or above which the lane-shared
-	// decode gathers candidate values by bit-matrix transpose
-	// (SetTransposeThreshold).
-	transposeBits int
 
 	scratchPool sync.Pool
 	batchPool   sync.Pool
@@ -95,13 +88,11 @@ func NewIncrementalComparer(ref *logic.Circuit, spec OutputSpec, blocks []partit
 	}
 
 	ic := &IncrementalComparer{
-		eval:          eval,
-		blocks:        blocks,
-		impls:         make([]*logic.Circuit, len(blocks)),
-		stats:         make([]batchStats, eval.nBatches),
-		lanes:         DefaultLanes,
-		laneDecode:    true,
-		transposeBits: DefaultTransposeBits,
+		eval:   eval,
+		blocks: blocks,
+		impls:  make([]*logic.Circuit, len(blocks)),
+		stats:  make([]batchStats, eval.nBatches),
+		lanes:  DefaultLanes,
 	}
 	// Cache the accurate circuit's full node-word state per batch.
 	sim := logic.NewSimulator(ref)
@@ -609,7 +600,7 @@ func (ic *IncrementalComparer) compareWith(sc *icScratch, bi int, impl *logic.Ci
 		for i, src := range sc.outSrc {
 			out[i] = w[src]
 		}
-		sc.acc.addBatchRef(out, e.refOut[b], mask, e.refLanes, b)
+		sc.acc.add(out, e.refOut[b], e.refVals[b], mask)
 		decodeSec += time.Since(dstart).Seconds()
 	}
 	rep := sc.acc.report(e.samples, e.exhaustive)
@@ -665,8 +656,8 @@ func (ic *IncrementalComparer) reportFromBase() Report {
 		if b == e.nBatches-1 {
 			mask = e.lastMask
 		}
-		computeBatchStats(&e.spec, out, e.refOut[b], mask, &ic.stats[b], e.refLanes, b)
-		acc.fold(&ic.stats[b])
+		acc.add(out, e.refOut[b], e.refVals[b], mask)
+		ic.stats[b].keep(&acc.scratch)
 	}
 	return acc.report(e.samples, e.exhaustive)
 }

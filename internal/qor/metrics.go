@@ -19,17 +19,13 @@ var (
 		"blasys_qor_eval_sim_seconds_total",
 		"Cumulative time in the per-batch simulate/fold loop of candidate evals.")
 	// Decode time is a subset of the simulate window above; the quotient is
-	// the decode fraction the lane-shared decode (decode.go) exists to
-	// shrink. Timed per dirty batch — clean batches fold cached partials and
+	// the share of candidate evaluation spent in computeBatchStats (qor.go).
+	// Timed per dirty batch — clean batches fold cached partials and
 	// skip the decode entirely, so the two extra clock reads only land where
 	// real decode work happens.
 	mDecodeSeconds = telemetry.Default().Counter(
 		"blasys_qor_eval_decode_seconds_total",
 		"Cumulative time in the metric decode of candidate evals (subset of the simulate phase).")
-	mDecodeGroups = telemetry.Default().CounterVec(
-		"blasys_qor_decode_groups_total",
-		"(Group, lane, batch) decodes by the lane-shared batch decode, by strategy: flip (per-bit flips from the shared diff scan) vs transpose (64x64 bit-matrix gather).",
-		"path")
 	mEvalBatchKind = telemetry.Default().CounterVec(
 		"blasys_qor_eval_batches_total",
 		"Sample batches processed by candidate evals, by outcome: clean (cached partial folded) vs cone (re-simulated).",

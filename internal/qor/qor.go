@@ -149,7 +149,7 @@ type Evaluator struct {
 	nBatches   int
 	lastMask   uint64 // valid-sample mask of the final batch
 	exhaustive bool
-	refLanes   *refLanes // cached per-lane reference decodes
+	refVals    [][]uint64 // per batch: cached reference group integers (buildRefVals)
 
 	// simPool recycles simulators (really: their node-word buffers) across
 	// Compare calls, so the exploration inner loop does not allocate one
@@ -210,49 +210,32 @@ func NewEvaluator(ref *logic.Circuit, spec OutputSpec, samples int, seed int64) 
 		e.refOut[b] = append([]uint64(nil), out...)
 	}
 	e.exhaustive = exhaustive
-	e.refLanes = buildRefLanes(&e.spec, e.refOut)
+	e.refVals = buildRefVals(&e.spec, e.refOut)
 	return e, nil
 }
 
-// refLanes caches, for every (batch, group, sample lane), the reference
-// value decoded three ways: the raw group integer, the (sign-adjusted)
-// float, and the relative-error denominator max(|value|, 1). The metric
-// inner loop re-derives these for every mismatching lane of every candidate;
-// the reference stream is fixed per evaluator, so one decode pass at
-// construction removes half the decode work — and the cached integer lets
-// the candidate's value be reconstructed by flipping only the differing bits
-// instead of gathering the whole group.
-type refLanes struct {
-	vals [][]uint64  // [batch][gi*64+lane] raw group integer
-	dec  [][]float64 // decoded float value
-	den  [][]float64 // max(|dec|, 1)
-}
-
-func buildRefLanes(spec *OutputSpec, refOut [][]uint64) *refLanes {
+// buildRefVals caches, for every (batch, group, sample lane), the reference
+// output's raw group integer at refVals[batch][gi*64+lane]. The reference
+// stream is fixed per evaluator, so one gather pass at construction lets the
+// metric decode reconstruct a candidate's group value by flipping only the
+// bits that differ from the reference instead of gathering the whole group.
+// The float value and the relative-error denominator are derived from the
+// integer at each mismatching sample, which keeps the cache at one word per
+// group per sample.
+func buildRefVals(spec *OutputSpec, refOut [][]uint64) [][]uint64 {
 	nGroups := len(spec.Groups)
-	rc := &refLanes{
-		vals: make([][]uint64, len(refOut)),
-		dec:  make([][]float64, len(refOut)),
-		den:  make([][]float64, len(refOut)),
-	}
+	refVals := make([][]uint64, len(refOut))
 	for b := range refOut {
 		vals := make([]uint64, nGroups*64)
-		dec := make([]float64, nGroups*64)
-		den := make([]float64, nGroups*64)
 		for gi := range spec.Groups {
 			g := &spec.Groups[gi]
 			for lane := uint(0); lane < 64; lane++ {
-				v := decodeInt(refOut[b], g, lane)
-				f := groupFloat(g, v)
-				idx := gi*64 + int(lane)
-				vals[idx] = v
-				dec[idx] = f
-				den[idx] = math.Max(math.Abs(f), 1)
+				vals[gi*64+int(lane)] = decodeInt(refOut[b], g, lane)
 			}
 		}
-		rc.vals[b], rc.dec[b], rc.den[b] = vals, dec, den
+		refVals[b] = vals
 	}
-	return rc
+	return refVals
 }
 
 // Samples returns the effective sample count.
@@ -306,7 +289,7 @@ func (e *Evaluator) Compare(approx *logic.Circuit) (Report, error) {
 		if b == e.nBatches-1 {
 			mask = e.lastMask
 		}
-		sc.acc.addBatchRef(out, e.refOut[b], mask, e.refLanes, b)
+		sc.acc.add(out, e.refOut[b], e.refVals[b], mask)
 	}
 	rep := sc.acc.report(e.samples, e.exhaustive)
 	e.simPool.Put(sc)
@@ -329,13 +312,11 @@ type batchStats struct {
 	errSamples int64
 	worstRel   float64
 	worstAbs   float64
-	// diffJ/diffD are scratch for the mismatching group bits of the batch
-	// being computed (bit position within the group, and its 64-lane diff).
-	diffJ []uint
-	diffD []uint64
 	// diff is scratch for the masked per-output diff words, computed once in
-	// the hamming pre-pass and reused by the per-group scan.
+	// the hamming pre-pass and reused by the per-group scan; cand is scratch
+	// for the candidate's group integer at each mismatching sample.
 	diff []uint64
+	cand []uint64
 }
 
 // reset zeroes the partial for nGroups output groups.
@@ -355,13 +336,24 @@ func (p *batchStats) reset(nGroups int) {
 	p.worstRel, p.worstAbs = 0, 0
 }
 
-// computeBatchStats fills p with the batch's statistics. mask selects the
-// valid sample lanes (all ones except possibly the final batch). When rc is
-// non-nil it must be the reference-decode cache built over the same refOut
-// stream, with batch the batch index; the cached path produces bit-identical
-// results to the direct path (same integers, same float operations) while
-// skipping the per-lane reference gather.
-func computeBatchStats(spec *OutputSpec, out, refOut []uint64, mask uint64, p *batchStats, rc *refLanes, batch int) {
+// keep copies q's statistics, but none of its scratch, into p.
+func (p *batchStats) keep(q *batchStats) {
+	p.reset(len(q.sumRel))
+	copy(p.sumRel, q.sumRel)
+	copy(p.sumAbs, q.sumAbs)
+	copy(p.sumSq, q.sumSq)
+	p.hamming, p.errSamples = q.hamming, q.errSamples
+	p.worstRel, p.worstAbs = q.worstRel, q.worstAbs
+}
+
+// computeBatchStats fills p with the statistics of one batch: the candidate
+// output words out against the reference words refOut, over the valid sample
+// lanes in mask (all ones except possibly the final batch). refVals is the
+// batch's cached reference group integers (buildRefVals). Every evaluation
+// path — full compare, sequential chains, incremental candidates and commits,
+// and each dirty lane of a fused batch pass — scores batches here, so their
+// reports agree bit for bit.
+func computeBatchStats(spec *OutputSpec, out, refOut, refVals []uint64, mask uint64, p *batchStats) {
 	p.reset(len(spec.Groups))
 	if cap(p.diff) < len(out) {
 		p.diff = make([]uint64, len(out)+len(out)/2+8)
@@ -380,51 +372,45 @@ func computeBatchStats(spec *OutputSpec, out, refOut []uint64, mask uint64, p *b
 	if anyDiff == 0 {
 		return // bit-exact batch: no numeric error either
 	}
+	if p.cand == nil {
+		p.cand = make([]uint64, 64)
+	}
+	cand := p.cand[:64]
 	worstRel, worstAbs := p.worstRel, p.worstAbs
 	for gi := range spec.Groups {
 		g := &spec.Groups[gi]
-		// Collect the group bits that mismatch anywhere in the batch —
-		// typically a handful — and their diff words.
-		p.diffJ = p.diffJ[:0]
-		p.diffD = p.diffD[:0]
 		var groupDiff uint64
+		for _, bit := range g.Bits {
+			groupDiff |= diff[bit]
+		}
+		if groupDiff == 0 {
+			continue
+		}
+		// Entry-outer flip: seed each mismatching sample with the cached
+		// reference integer, then xor one bit per set bit of each differing
+		// output's diff word. The result is the candidate's own group value
+		// at every mismatching sample, built in O(set diff bits).
+		ref := refVals[gi*64 : gi*64+64]
+		for r := groupDiff; r != 0; r &= r - 1 {
+			s := bits.TrailingZeros64(r)
+			cand[s] = ref[s]
+		}
 		for j, bit := range g.Bits {
-			if d := diff[bit]; d != 0 {
-				p.diffJ = append(p.diffJ, uint(j))
-				p.diffD = append(p.diffD, d)
-				groupDiff |= d
+			for r := diff[bit]; r != 0; r &= r - 1 {
+				cand[bits.TrailingZeros64(r)] ^= 1 << uint(j)
 			}
 		}
-		// Local accumulators: each group index is visited exactly once after
-		// reset, so storing the locally-summed values keeps the float add
-		// order (and hence the bits) identical to accumulating in place.
-		diffJ, diffD := p.diffJ, p.diffD
+		// Local accumulators, samples ascending: each group index is visited
+		// at most once after reset, so storing the locally-summed values
+		// keeps the float add order (and hence the bits) identical to
+		// accumulating in place.
 		var sumAbs, sumSq, sumRel float64
-		for lanes := groupDiff; lanes != 0; lanes &= lanes - 1 {
-			lane := uint(bits.TrailingZeros64(lanes))
-			var rv, den float64
-			var rvInt uint64
-			if rc != nil {
-				idx := gi*64 + int(lane)
-				rvInt = rc.vals[batch][idx]
-				rv = rc.dec[batch][idx]
-				den = rc.den[batch][idx]
-			} else {
-				rvInt = decodeInt(refOut, g, lane)
-				rv = groupFloat(g, rvInt)
-				den = math.Max(math.Abs(rv), 1)
-			}
-			// The candidate's group value is the reference with only the
-			// differing bits flipped. The mismatching bit positions are
-			// distinct, so OR-ing the selected masks equals the conditional
-			// per-bit XOR — branch-free.
-			var flip uint64
-			for di, j := range diffJ {
-				flip |= (diffD[di] >> lane & 1) << j
-			}
-			av := groupFloat(g, rvInt^flip)
+		for r := groupDiff; r != 0; r &= r - 1 {
+			s := bits.TrailingZeros64(r)
+			rv := groupFloat(g, ref[s])
+			av := groupFloat(g, cand[s])
 			abs := math.Abs(av - rv)
-			rel := abs / den
+			rel := abs / math.Max(math.Abs(rv), 1)
 			sumAbs += abs
 			sumSq += abs * abs
 			sumRel += rel
@@ -477,15 +463,10 @@ func (a *reportAccum) fold(p *batchStats) {
 	}
 }
 
-// addBatch computes one batch's statistics and folds them in.
-func (a *reportAccum) addBatch(out, refOut []uint64, mask uint64) {
-	computeBatchStats(a.spec, out, refOut, mask, &a.scratch, nil, 0)
-	a.fold(&a.scratch)
-}
-
-// addBatchRef is addBatch with the reference-decode cache for batch b.
-func (a *reportAccum) addBatchRef(out, refOut []uint64, mask uint64, rc *refLanes, b int) {
-	computeBatchStats(a.spec, out, refOut, mask, &a.scratch, rc, b)
+// add computes one batch's statistics (see computeBatchStats) and folds them
+// in.
+func (a *reportAccum) add(out, refOut, refVals []uint64, mask uint64) {
+	computeBatchStats(a.spec, out, refOut, refVals, mask, &a.scratch)
 	a.fold(&a.scratch)
 }
 

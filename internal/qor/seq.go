@@ -58,6 +58,9 @@ type SequentialEvaluator struct {
 	fresh [][][]uint64
 	// refOut[b][t][o] is the reference output trajectory.
 	refOut [][][]uint64
+	// refVals[b][t] caches the reference group integers of chain b, step t
+	// (buildRefVals).
+	refVals [][][]uint64
 	// isFeedback marks inputs that are driven by feedback.
 	isFeedback []bool
 }
@@ -92,6 +95,7 @@ func NewSequentialEvaluator(ref *logic.Circuit, spec OutputSpec, seq Sequence, s
 	sim := logic.NewSimulator(ref)
 	e.fresh = make([][][]uint64, chains)
 	e.refOut = make([][][]uint64, chains)
+	e.refVals = make([][][]uint64, chains)
 	state := make([]uint64, len(ref.Inputs))
 	out := make([]uint64, len(ref.Outputs))
 	for b := 0; b < chains; b++ {
@@ -122,6 +126,7 @@ func NewSequentialEvaluator(ref *logic.Circuit, spec OutputSpec, seq Sequence, s
 				state[fbp[1]] = out[fbp[0]]
 			}
 		}
+		e.refVals[b] = buildRefVals(&e.spec, e.refOut[b])
 	}
 	return e, nil
 }
@@ -159,7 +164,7 @@ func (e *SequentialEvaluator) Compare(approx *logic.Circuit) (Report, error) {
 			for _, fbp := range e.seq.Feedback {
 				state[fbp[1]] = out[fbp[0]]
 			}
-			acc.addBatch(out, e.refOut[b][t], ^uint64(0))
+			acc.add(out, e.refOut[b][t], e.refVals[b][t], ^uint64(0))
 		}
 	}
 	return acc.report(e.Samples(), false), nil

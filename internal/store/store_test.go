@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -125,10 +127,8 @@ func TestBenchmarkRequestMaterializesIdentically(t *testing.T) {
 
 func TestReplaySkipsCorruptLines(t *testing.T) {
 	s := openTestStore(t)
-	var warnings []string
-	s.SetLogger(func(format string, args ...any) {
-		warnings = append(warnings, fmt.Sprintf(format, args...))
-	})
+	var warnings bytes.Buffer
+	s.SetSlogger(slog.New(slog.NewTextHandler(&warnings, nil)))
 	req, err := NewRequestRecord(smallCircuit(), qor.Unsigned("s", 4), core.Config{}, "", "", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -172,12 +172,10 @@ func TestReplaySkipsCorruptLines(t *testing.T) {
 	if rec.CorruptLines != 2 {
 		t.Fatalf("CorruptLines = %d, want 2", rec.CorruptLines)
 	}
-	if len(warnings) == 0 {
+	if warnings.Len() == 0 {
 		t.Fatal("corrupt lines were skipped silently; want a logged warning")
 	}
-	for _, w := range warnings {
-		t.Logf("warning: %s", w)
-	}
+	t.Logf("warnings:\n%s", warnings.String())
 }
 
 func TestReplaySkipsJournalWithoutRequest(t *testing.T) {

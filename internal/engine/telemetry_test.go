@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/blasys-go/blasys/internal/bmf"
 	"github.com/blasys-go/blasys/internal/telemetry"
 )
 
@@ -288,10 +289,24 @@ func TestTimelineSurvivesRestart(t *testing.T) {
 	}
 }
 
+// gatedCache holds every lookup until open is closed.
+type gatedCache struct {
+	bmf.Cache
+	open <-chan struct{}
+}
+
+func (c gatedCache) Get(k bmf.Key) (any, bool) {
+	<-c.open
+	return c.Cache.Get(k)
+}
+
 // TestStageEventsStreamed subscribes to a job and checks completed stage
 // spans arrive as events alongside the state/trace stream.
 func TestStageEventsStreamed(t *testing.T) {
-	e := New(Options{Workers: 1})
+	// Stage events are live-only: the job's first factorization waits at
+	// the cache until the subscription is in place.
+	open := make(chan struct{})
+	e := New(Options{Workers: 1, Cache: gatedCache{bmf.NewMemoryCache(), open}})
 	defer e.Close()
 	j, err := e.Submit(adderRequest(t, 4, persistCfg()))
 	if err != nil {
@@ -299,6 +314,7 @@ func TestStageEventsStreamed(t *testing.T) {
 	}
 	events, cancel := j.Subscribe()
 	defer cancel()
+	close(open)
 	stages := map[string]int{}
 	deadline := time.After(2 * time.Minute)
 	for {

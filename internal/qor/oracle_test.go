@@ -210,29 +210,43 @@ func sameReport(t *testing.T, what string, got, want qor.Report) {
 	}
 }
 
-func TestDecodeOracle(t *testing.T) {
+// exhaustive reports whether an evaluator over the given input count and
+// requested samples enumerates every input pattern.
+func exhaustive(inputs, samples int) bool {
+	return inputs <= qor.ExhaustiveLimit && 1<<inputs <= samples
+}
+
+// TestLaneDecodeEdgeCases pins the decode corners random circuits rarely
+// land on, on every combinational path including each lane of
+// CompareCandidates.
+func TestLaneDecodeEdgeCases(t *testing.T) {
 	cases := []struct {
 		name            string
 		inputs, outputs int
 		widths          []int
 		signed          []bool
 		samples         int
+		// candidates per round; zero draws 1..MaxLanes+4.
+		candidates int
 	}{
 		// Two's-complement groups: the sign flips often on narrow groups.
-		{"signed-groups", 12, 12, []int{5, 7}, []bool{true, true}, 512},
+		{"signed-groups", 12, 12, []int{5, 7}, []bool{true, true}, 512, 0},
 		// Every group one bit wide, alternating signedness: a signed 1-bit
 		// group takes the values 0 and -1. 2^8 = 256 samples: exhaustive.
 		{"single-bit-groups", 8, 9, []int{1, 1, 1, 1, 1, 1, 1, 1, 1},
-			[]bool{false, true, false, true, false, true, false, true, false}, 256},
+			[]bool{false, true, false, true, false, true, false, true, false}, 256, 0},
 		// The widest legal group, unsigned, beside a narrow signed one.
-		{"wide-groups", 12, 70, []int{63, 7}, []bool{false, true}, 256},
+		{"wide-groups", 12, 70, []int{63, 7}, []bool{false, true}, 256, 0},
 		// The widest legal group, signed, exhaustive over 2^7 samples.
-		{"wide-signed-group", 7, 63, []int{63}, []bool{true}, 128},
+		{"wide-signed-group", 7, 63, []int{63}, []bool{true}, 128, 0},
 		// 2^5 = 32 exhaustive samples: one batch whose valid-sample mask
 		// covers only the low half of each word. Output 8 joins no group.
-		{"partial-final-mask", 5, 9, []int{3, 5}, []bool{false, true}, 64},
+		{"partial-final-mask", 5, 9, []int{3, 5}, []bool{false, true}, 64, 0},
 		// Monte-Carlo sampling, 1000 requested samples rounded up to 1024.
-		{"monte-carlo", 14, 10, []int{10}, []bool{false}, 1000},
+		{"monte-carlo", 14, 10, []int{10}, []bool{false}, 1000, 0},
+		// 2*MaxLanes+3 candidates: at MaxLanes lanes the last chunk is a
+		// 3-wide tail.
+		{"maxlanes-tail", 7, 10, []int{10}, []bool{false}, 128, 2*qor.MaxLanes + 3},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -242,43 +256,73 @@ func TestDecodeOracle(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed * 7919))
 				prepared, blocks := oracleCircuit(t, rng, tc.inputs, tc.outputs)
 				spec := groupedSpec(tc.widths, tc.signed)
-				exact := tc.inputs <= qor.ExhaustiveLimit && 1<<tc.inputs <= tc.samples
-				checkCombinational(t, rng, prepared, blocks, spec, tc.samples, seed, exact)
+				checkCombinational(t, rng, prepared, blocks, spec, tc.samples, seed, exhaustive(tc.inputs, tc.samples), tc.candidates)
 			}
 		})
 	}
-	t.Run("sequential", func(t *testing.T) {
-		t.Parallel()
-		for seed := int64(1); seed <= 3; seed++ {
-			rng := rand.New(rand.NewSource(seed * 104729))
-			prepared, blocks := oracleCircuit(t, rng, 7, 9)
-			// Outputs 0..2 feed back into inputs 1..3, like an accumulator.
-			seq := qor.Sequence{Steps: 4, Feedback: [][2]int{{0, 1}, {1, 2}, {2, 3}}}
-			spec := groupedSpec([]int{6, 3}, []bool{seed%2 == 0, true})
-			samples := 64 * seq.Steps * 3
-			se, err := qor.NewSequentialEvaluator(prepared, spec, seq, samples, seed)
+}
+
+// TestLaneDecodeFuzzDifferential differences every combinational path
+// against the oracle on seeded random circuits, each with a random split of
+// its outputs into groups of random width and signedness and a random sample
+// count, exhaustive or Monte-Carlo.
+func TestLaneDecodeFuzzDifferential(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		seed := seed
+		t.Run("", func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(seed * 40503))
+			inputs := 5 + rng.Intn(8)
+			outputs := 2 + rng.Intn(40)
+			prepared, blocks := oracleCircuit(t, rng, inputs, outputs)
+			var widths []int
+			var signed []bool
+			for left := outputs - rng.Intn(2); left > 0; {
+				w := 1 + rng.Intn(min(left, 63))
+				widths = append(widths, w)
+				signed = append(signed, rng.Intn(2) == 0)
+				left -= w
+			}
+			samples := 1 << (6 + rng.Intn(5))
+			checkCombinational(t, rng, prepared, blocks, groupedSpec(widths, signed), samples, seed, exhaustive(inputs, samples), 0)
+		})
+	}
+}
+
+// TestSequentialDecodeOracle checks SequentialEvaluator.Compare against the
+// oracle, with the test driving the accumulator feedback itself.
+func TestSequentialDecodeOracle(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed * 104729))
+		prepared, blocks := oracleCircuit(t, rng, 7, 9)
+		// Outputs 0..2 feed back into inputs 1..3, like an accumulator.
+		seq := qor.Sequence{Steps: 4, Feedback: [][2]int{{0, 1}, {1, 2}, {2, 3}}}
+		spec := groupedSpec([]int{6, 3}, []bool{seed%2 == 0, true})
+		samples := 64 * seq.Steps * 3
+		se, err := qor.NewSequentialEvaluator(prepared, spec, seq, samples, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := simulateChains(prepared, seq, samples, seed)
+		for round := 0; round < 6; round++ {
+			bi := rng.Intn(len(blocks))
+			impl := randImpl(rng, len(blocks[bi].Inputs), len(blocks[bi].Outputs))
+			approx := substitute(t, prepared, blocks, nil, bi, impl)
+			got, err := se.Compare(approx)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := simulateChains(prepared, seq, samples, seed)
-			for round := 0; round < 6; round++ {
-				bi := rng.Intn(len(blocks))
-				impl := randImpl(rng, len(blocks[bi].Inputs), len(blocks[bi].Outputs))
-				approx := substitute(t, prepared, blocks, nil, bi, impl)
-				got, err := se.Compare(approx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := oracleReport(spec, simulateChains(approx, seq, samples, seed), ref, se.Samples(), false)
-				sameReport(t, fmt.Sprintf("seed %d round %d: SequentialEvaluator.Compare", seed, round), got, want)
-			}
+			want := oracleReport(spec, simulateChains(approx, seq, samples, seed), ref, se.Samples(), false)
+			sameReport(t, fmt.Sprintf("seed %d round %d: SequentialEvaluator.Compare", seed, round), got, want)
 		}
-	})
+	}
 }
 
-// checkCombinational walks a few rounds of random same-block candidates and
+// checkCombinational walks a few rounds of same-block candidates and
 // commits, checking every combinational evaluation path against the oracle.
-func checkCombinational(t *testing.T, rng *rand.Rand, prepared *logic.Circuit, blocks []partition.Block, spec qor.OutputSpec, samples int, seed int64, exact bool) {
+// Each round draws candidates random implementations, or 1..MaxLanes+4 of
+// them when candidates is zero.
+func checkCombinational(t *testing.T, rng *rand.Rand, prepared *logic.Circuit, blocks []partition.Block, spec qor.OutputSpec, samples int, seed int64, exact bool, candidates int) {
 	t.Helper()
 	eval, err := qor.NewEvaluator(prepared, spec, samples, seed)
 	if err != nil {
@@ -302,7 +346,11 @@ func checkCombinational(t *testing.T, rng *rand.Rand, prepared *logic.Circuit, b
 	committed := map[int]*logic.Circuit{}
 	for round := 0; round < 3; round++ {
 		bi := rng.Intn(len(blocks))
-		impls := make([]*logic.Circuit, 1+rng.Intn(qor.MaxLanes+4))
+		count := candidates
+		if count == 0 {
+			count = 1 + rng.Intn(qor.MaxLanes+4)
+		}
+		impls := make([]*logic.Circuit, count)
 		want := make([]qor.Report, len(impls))
 		for i := range impls {
 			impls[i] = randImpl(rng, len(blocks[bi].Inputs), len(blocks[bi].Outputs))

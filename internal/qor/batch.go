@@ -10,16 +10,16 @@ import (
 // Lane-packed batch evaluation: N candidate implementations of the SAME block
 // are simulated in one fused pass instead of N scalar passes.
 //
-// The scalar path compiles one slot program per candidate — impl segment plus
-// the statically-dirty fanout cone — and walks the sample batches once per
-// candidate. For a batch of candidates of one block the cone is identical
-// (it depends only on the block and the committed state, never on the
-// candidate's gates), so the batch path compiles it once and shares it across
-// all candidates. Candidate-specific gates are lowered per lane, and the word
-// store becomes lane-packed: slot s of lane l lives at packed[s*lanes+l], so
-// every shared cone instruction executes as one unrolled loop over adjacent
-// words with a single op dispatch, instead of lanes separate interpreter
-// passes.
+// The single-candidate path compiles one slot program per candidate — impl
+// segment plus the statically-dirty fanout cone — and walks the sample
+// batches once per candidate, eight consecutive batches per pass. For a batch
+// of candidates of one block the cone is identical (it depends only on the
+// block and the committed state, never on the candidate's gates), so the
+// batch path compiles it once and shares it across all candidates.
+// Candidate-specific gates are lowered per lane, and the lanes of the packed
+// word store hold candidates instead of batches: slot s of lane l lives at
+// packed[s*lanes+l], so every shared cone instruction executes as one
+// unrolled loop over adjacent words with a single op dispatch.
 //
 // Layout of one batch pass over L lanes (slot-major, lanes adjacent):
 //
@@ -32,10 +32,11 @@ import (
 //	            batch's cached metric partial for every lane and skip the cone
 //	segment 2   shared cone units over all lanes at once; a committed-region
 //	            unit is skipped only when NO lane dirtied its boundary inputs
-//	decode      per dirty lane: gather the lane's primary outputs and score
-//	            them with computeBatchStats through one scratch shared by the
-//	            pass, folding into the lane's accumulator with the exact same
-//	            reportAccum code the scalar and paper-literal paths use
+//	decode      per dirty lane: gather the lane's primary outputs; after every
+//	            groupLanes batches score them with computeBatchStats through
+//	            one scratch shared by the pass, folding into the lane's
+//	            accumulator in batch order with the exact same reportAccum
+//	            code the single-candidate and paper-literal paths use
 //
 // Each lane computes the identical per-batch word values the scalar program
 // would: lanes whose inputs equal the committed cache recompute exactly the
@@ -70,8 +71,9 @@ func (ic *IncrementalComparer) SetLanes(w int) {
 func (ic *IncrementalComparer) Lanes() int { return ic.lanes }
 
 // batchScratch is the per-evaluation state of a fused batch pass. It embeds
-// the scalar compile scratch (dirty marks, frontiers, cone units, outSrc are
-// all candidate-independent) and adds the lane-packed word store plus
+// the single-candidate compile scratch (dirty marks, frontiers, cone units,
+// outSrc are all candidate-independent) and uses its packed word store with
+// the pass's lane width: slot s, lane l at sc.packed[s*lanes+l]. It adds
 // per-lane program tails and metric accumulators.
 type batchScratch struct {
 	sc    icScratch
@@ -80,14 +82,14 @@ type batchScratch struct {
 	// laneOps[l] is lane l's private impl segment: the candidate's gates into
 	// lane-local tail slots plus Bufs into the shared output-staging rows.
 	laneOps [][]progOp
-	// packed is the lane-packed word store: slot s, lane l at packed[s*lanes+l].
-	packed []uint64
-	// outs is the per-lane primary-output gather buffer.
+	// outs holds the gathered primary outputs of every dirty lane of the
+	// groupLanes batches in flight: batch g, lane l at
+	// outs[(g*lanes+l)*nOut:], so a group's decode runs as one timed span.
 	outs []uint64
 	// accs[l] accumulates lane l's metric partials across batches.
 	accs []reportAccum
-	// clean[l] records, for the batch in flight, whether lane l's block
-	// outputs matched the committed cache.
+	// clean[g*lanes+l] records whether lane l's block outputs matched the
+	// committed cache in batch g of the group in flight.
 	clean []bool
 	// stats is the one decode scratch every dirty lane of the pass scores
 	// through before folding into its accumulator.
@@ -189,8 +191,8 @@ func (ic *IncrementalComparer) compileBatch(bi int, impls []*logic.Circuit, bs *
 	for _, o := range ic.eval.ref.Outputs {
 		sc.outSrc = append(sc.outSrc, sc.operand(o, &sc.coneFrontier))
 	}
-	if need := sc.nSlots * L; len(bs.packed) < need {
-		bs.packed = make([]uint64, need+need/2)
+	if need := sc.nSlots * L; len(sc.packed) < need {
+		sc.packed = make([]uint64, need+need/2)
 	}
 }
 
@@ -218,70 +220,87 @@ func (ic *IncrementalComparer) compareChunk(bs *batchScratch, bi int, impls []*l
 	}
 
 	L := bs.lanes
+	nOut := len(e.ref.Outputs)
 	for len(bs.accs) < L {
 		bs.accs = append(bs.accs, reportAccum{})
 	}
-	if len(bs.clean) < L {
-		bs.clean = make([]bool, L)
+	if len(bs.clean) < groupLanes*L {
+		bs.clean = make([]bool, groupLanes*L)
 	}
-	if len(bs.outs) < len(e.ref.Outputs) {
-		bs.outs = make([]uint64, len(e.ref.Outputs))
+	if len(bs.outs) < groupLanes*L*nOut {
+		bs.outs = make([]uint64, groupLanes*L*nOut)
 	}
 	for l := 0; l < L; l++ {
 		bs.accs[l].reset(&e.spec)
 	}
-	out := bs.outs[:len(e.ref.Outputs)]
+	w := sc.packed
 	cleanLanes := 0
-	var decodeSec float64
-	for b := 0; b < e.nBatches; b++ {
-		base := ic.base[b]
-		if bs.runBatch(base) {
-			// Every lane's block outputs match the committed state: each
-			// lane's metrics for this batch are the cached committed partial.
-			for l := 0; l < L; l++ {
-				bs.accs[l].fold(&ic.stats[b])
-			}
-			cleanLanes += L
-			continue
-		}
-		mask := ^uint64(0)
-		if b == e.nBatches-1 {
-			mask = e.lastMask
-		}
-		dstart := time.Now()
-		w := bs.packed
-		for l := 0; l < L; l++ {
-			if bs.clean[l] {
-				bs.accs[l].fold(&ic.stats[b])
-				cleanLanes++
+	var decode time.Duration
+	// Simulate groupLanes batches, gathering each dirty lane's outputs, then
+	// decode them in one timed span; per lane, batches still fold in
+	// ascending order.
+	for b0 := 0; b0 < e.nBatches; b0 += groupLanes {
+		nb := min(groupLanes, e.nBatches-b0)
+		anyDirty := false
+		for g := 0; g < nb; g++ {
+			clean := bs.clean[g*L : g*L+L]
+			if bs.runBatch(ic.base[b0+g], clean) {
 				continue
 			}
-			for i, src := range sc.outSrc {
-				out[i] = w[int(src)*L+l]
+			anyDirty = true
+			for l := 0; l < L; l++ {
+				if clean[l] {
+					continue
+				}
+				out := bs.outs[(g*L+l)*nOut:][:nOut]
+				for i, src := range sc.outSrc {
+					out[i] = w[int(src)*L+l]
+				}
 			}
-			computeBatchStats(&e.spec, out, e.refOut[b], e.refVals[b], mask, &bs.stats)
-			bs.accs[l].fold(&bs.stats)
 		}
-		decodeSec += time.Since(dstart).Seconds()
+		var dstart time.Time
+		if anyDirty {
+			dstart = time.Now()
+		}
+		for g := 0; g < nb; g++ {
+			b := b0 + g
+			mask := ^uint64(0)
+			if b == e.nBatches-1 {
+				mask = e.lastMask
+			}
+			for l := 0; l < L; l++ {
+				if bs.clean[g*L+l] {
+					bs.accs[l].fold(&ic.stats[b])
+					cleanLanes++
+					continue
+				}
+				out := bs.outs[(g*L+l)*nOut:][:nOut]
+				computeBatchStats(&e.spec, out, e.refOut[b], e.refVals[b], mask, &bs.stats)
+				bs.accs[l].fold(&bs.stats)
+			}
+		}
+		if anyDirty {
+			decode += time.Since(dstart)
+		}
 	}
 	for l := 0; l < L; l++ {
 		reps[l] = bs.accs[l].report(e.samples, e.exhaustive)
 	}
 	mSimSeconds.Add(time.Since(compiled).Seconds())
-	mDecodeSeconds.Add(decodeSec)
+	mDecodeSeconds.Add(decode.Seconds())
 	mEvalBatchKind.With("clean").Add(float64(cleanLanes))
 	mEvalBatchKind.With("cone").Add(float64(L*e.nBatches - cleanLanes))
 	mEvalBatches.Observe(float64(e.nBatches))
 }
 
-// runBatch executes the fused program for one sample batch. It returns true
-// when every lane's block outputs match the committed cache (the cone, gather
-// and metric loops can all be skipped); otherwise bs.clean records the
-// per-lane outcome.
-func (bs *batchScratch) runBatch(base []uint64) (allClean bool) {
+// runBatch executes the fused program for one sample batch, recording in
+// clean[l] whether lane l's block outputs match the committed cache. It
+// returns true when every lane is clean (the cone, gather and metric loops
+// can all be skipped).
+func (bs *batchScratch) runBatch(base []uint64, clean []bool) (allClean bool) {
 	sc := &bs.sc
 	L := bs.lanes
-	w := bs.packed
+	w := sc.packed
 
 	// Stage segment-1 reads: broadcast each committed word across the lanes
 	// of its shadow row.
@@ -298,15 +317,15 @@ func (bs *batchScratch) runBatch(base []uint64) (allClean bool) {
 	allClean = true
 	nDirty := 0
 	for l := 0; l < L; l++ {
-		clean := true
+		c := true
 		for j, s := range sc.outSlots {
 			if w[int(s)*L+l] != base[sc.blockOuts[j]] {
-				clean = false
+				c = false
 				break
 			}
 		}
-		bs.clean[l] = clean
-		if !clean {
+		clean[l] = c
+		if !c {
 			allClean = false
 			nDirty++
 		}
@@ -324,7 +343,7 @@ func (bs *batchScratch) runBatch(base []uint64) (allClean bool) {
 	// threshold is pure scheduling.
 	if nDirty*2 < L {
 		for l := 0; l < L; l++ {
-			if bs.clean[l] {
+			if clean[l] {
 				continue
 			}
 			bs.runConeLane(base, l)
@@ -390,7 +409,7 @@ func (bs *batchScratch) runBatch(base []uint64) (allClean bool) {
 func (bs *batchScratch) runConeLane(base []uint64, l int) {
 	sc := &bs.sc
 	L := bs.lanes
-	w := bs.packed
+	w := sc.packed
 	for j, s := range sc.outSlots {
 		w[int(sc.blockOuts[j])*L+l] = w[int(s)*L+l]
 	}

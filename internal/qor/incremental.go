@@ -25,7 +25,9 @@ import (
 // cache, and — when they match, which is the common case for low-error
 // variants — skips the cone and the whole metric loop by folding the batch's
 // cached metric partial. Only batches whose block outputs genuinely change
-// simulate the cone and re-score outputs.
+// simulate the cone and re-score outputs. The program runs over groups of
+// groupLanes consecutive batches at a time (see runGroup), so every compiled
+// instruction is dispatched once per 512 samples.
 //
 // The committed state starts at the accurate circuit (every block accurate)
 // and advances via Commit as the exploration decrements block degrees. A
@@ -115,9 +117,15 @@ func (ic *IncrementalComparer) Reference() *logic.Circuit { return ic.eval.ref }
 // CommittedReport returns the report of the committed circuit.
 func (ic *IncrementalComparer) CommittedReport() Report { return ic.committedRep }
 
+// groupLanes is the number of consecutive 64-sample batches the incremental
+// runner evaluates per op dispatch: batch b0+l of a group runs in lane l of
+// the slot-major packed layout batch.go uses (slot s, lane l at
+// s*groupLanes+l), through the unrolled execOpsPacked8.
+const groupLanes = 8
+
 // progOp is one compiled instruction over the slot array: dst and the
 // operands a/b/c are all direct slot indices. Committed-cache values the
-// program needs are staged into their shadow slots by per-batch frontier
+// program needs are staged into their shadow slots by per-group frontier
 // copies, so the execution loop performs no per-operand source dispatch.
 type progOp struct {
 	op      logic.Op
@@ -127,11 +135,12 @@ type progOp struct {
 
 // coneUnit is one stretch of the compiled cone. An empty checkIns means an
 // unconditional run of accurate gates. Otherwise the unit is a committed
-// block implementation: per batch its boundary inputs (checkIns, whose slots
+// block implementation: per group its boundary inputs (checkIns, whose slots
 // are always valid at this point) are compared against the cache; when none
-// changed the whole unit is skipped and its outputs (outNodes) are staged
-// from the cache instead. Committed-region units always carry at least one
-// checkIn — regions with no dirty boundary input are never compiled at all.
+// changed in any batch of the group the whole unit is skipped and its
+// outputs (outNodes) are staged from the cache instead. Committed-region
+// units always carry at least one checkIn — regions with no dirty boundary
+// input are never compiled at all.
 type coneUnit struct {
 	ops      []progOp
 	checkIns []logic.NodeID
@@ -140,9 +149,10 @@ type coneUnit struct {
 
 // icScratch is the pooled per-evaluation compile + execution state.
 type icScratch struct {
-	// slots is the word store: slots [0, len(ref.Nodes)) shadow reference
+	// packed is the word store, groupLanes words per slot: slot s of lane l
+	// at packed[s*groupLanes+l]. Slots [0, len(ref.Nodes)) shadow reference
 	// nodes, the tail holds implementation-internal values.
-	slots []uint64
+	packed []uint64
 	// dirty marks the static cone (nodes the program writes) during
 	// compilation; dirtyList records them for O(cone) clearing.
 	dirty     []bool
@@ -151,7 +161,7 @@ type icScratch struct {
 	implOps []progOp // segment 1: candidate impl gates + output copies
 	// cone is segment 2: the downstream cone as a sequence of units.
 	// Accurate-gate runs execute unconditionally; committed-region units
-	// check their boundary inputs per batch and are skipped (outputs staged
+	// check their boundary inputs per group and are skipped (outputs staged
 	// from the cache) when the change wave did not reach them.
 	cone []coneUnit
 	// outSlots[j] holds the candidate implementation's output j; blockOuts
@@ -159,7 +169,7 @@ type icScratch struct {
 	outSlots  []int32
 	blockOuts []logic.NodeID
 	// implFrontier / coneFrontier list the committed-cache nodes each
-	// segment reads; their words are copied into the shadow slots before the
+	// segment reads; their words are copied into the shadow rows before the
 	// segment runs. coneFrontier also includes every primary-output node the
 	// cone does not recompute, so output assembly reads slots uniformly.
 	implFrontier []logic.NodeID
@@ -360,8 +370,8 @@ func (ic *IncrementalComparer) compile(bi int, impl *logic.Circuit, sc *icScratc
 	for _, o := range c.Outputs {
 		sc.outSrc = append(sc.outSrc, sc.operand(o, &sc.coneFrontier))
 	}
-	if len(sc.slots) < sc.nSlots {
-		sc.slots = make([]uint64, sc.nSlots+sc.nSlots/2)
+	if need := sc.nSlots * groupLanes; len(sc.packed) < need {
+		sc.packed = make([]uint64, need+need/2)
 	}
 }
 
@@ -442,83 +452,75 @@ func (ic *IncrementalComparer) compileCone(bi int, sc *icScratch) {
 	}
 }
 
-// execOps runs one compiled segment for a batch over the slot array.
-func execOps(ops []progOp, w []uint64) {
-	for i := range ops {
-		op := &ops[i]
-		var v uint64
-		switch op.op {
-		case logic.Buf:
-			v = w[op.a]
-		case logic.Not:
-			v = ^w[op.a]
-		case logic.And:
-			v = w[op.a] & w[op.b]
-		case logic.Or:
-			v = w[op.a] | w[op.b]
-		case logic.Xor:
-			v = w[op.a] ^ w[op.b]
-		case logic.Nand:
-			v = ^(w[op.a] & w[op.b])
-		case logic.Nor:
-			v = ^(w[op.a] | w[op.b])
-		case logic.Xnor:
-			v = ^(w[op.a] ^ w[op.b])
-		case logic.Mux:
-			sel := w[op.a]
-			v = (sel & w[op.c]) | (^sel & w[op.b])
-		default:
-			v = op.op.Eval(w[op.a], w[op.b], w[op.c])
-		}
-		w[op.dst] = v
+// groupRows is the committed node-word row staged into each lane of a group.
+type groupRows [groupLanes][]uint64
+
+// stage copies the committed words of nodes into their packed rows, every
+// lane from its own batch.
+func stage(w []uint64, nodes []logic.NodeID, rows *groupRows) {
+	for _, n := range nodes {
+		d := w[int(n)*groupLanes:][:groupLanes:groupLanes]
+		d[0], d[1], d[2], d[3] = rows[0][n], rows[1][n], rows[2][n], rows[3][n]
+		d[4], d[5], d[6], d[7] = rows[4][n], rows[5][n], rows[6][n], rows[7][n]
 	}
 }
 
-// runBatch executes the candidate program for one batch. It returns true
-// when the block's outputs match the committed cache (the cone and metric
-// can be skipped for this batch).
-func (sc *icScratch) runBatch(base []uint64) (clean bool) {
-	w := sc.slots
-	for _, n := range sc.implFrontier {
-		w[n] = base[n]
+// runGroup executes the candidate program over one group of consecutive
+// batches whose committed rows are base (1..groupLanes of them): lane l runs
+// base[l], and the unused lanes of a final partial group replay the last row
+// and are ignored. It returns the lanes whose block outputs differ from the
+// committed cache, bit l for lane l. Zero means the whole group is clean and
+// the cone was not run; otherwise every lane's cone and primary-output words
+// are valid in sc.packed. A clean lane of a dirty group recomputes exactly
+// its cached words, so running the cone over all lanes is safe.
+func (sc *icScratch) runGroup(base [][]uint64) (dirty uint8) {
+	n := len(base)
+	var rows groupRows
+	for l := range rows {
+		rows[l] = base[min(l, n-1)]
 	}
-	execOps(sc.implOps, w)
-	clean = true
-	for j, s := range sc.outSlots {
-		if w[s] != base[sc.blockOuts[j]] {
-			clean = false
-			break
+	w := sc.packed
+	stage(w, sc.implFrontier, &rows)
+	execOpsPacked8(sc.implOps, w)
+	for l := 0; l < n; l++ {
+		for j, s := range sc.outSlots {
+			if w[int(s)*groupLanes+l] != rows[l][sc.blockOuts[j]] {
+				dirty |= 1 << l
+				break
+			}
 		}
 	}
-	if clean {
-		return true
+	if dirty == 0 {
+		return 0
 	}
 	for j, s := range sc.outSlots {
-		w[sc.blockOuts[j]] = w[s]
+		o := int(sc.blockOuts[j]) * groupLanes
+		copy(w[o:o+groupLanes], w[int(s)*groupLanes:][:groupLanes])
 	}
-	for _, n := range sc.coneFrontier {
-		w[n] = base[n]
-	}
+	stage(w, sc.coneFrontier, &rows)
 	for ui := range sc.cone {
 		u := &sc.cone[ui]
-		if len(u.checkIns) > 0 {
-			hit := false
-			for _, in := range u.checkIns {
-				if w[in] != base[in] {
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				// The wave bypassed this committed region: its outputs keep
-				// their cached values.
-				for _, o := range u.outNodes {
-					w[o] = base[o]
-				}
-				continue
+		if len(u.checkIns) > 0 && !waveReaches(w, u.checkIns, &rows, n) {
+			// No lane's wave reached this committed region: its outputs
+			// keep their cached values.
+			stage(w, u.outNodes, &rows)
+			continue
+		}
+		execOpsPacked8(u.ops, w)
+	}
+	return dirty
+}
+
+// waveReaches reports whether any of the first n lanes holds a value differing
+// from the committed cache on one of the given boundary inputs.
+func waveReaches(w []uint64, checkIns []logic.NodeID, rows *groupRows, n int) bool {
+	for _, in := range checkIns {
+		row := w[int(in)*groupLanes:][:groupLanes]
+		for l := 0; l < n; l++ {
+			if row[l] != rows[l][in] {
+				return true
 			}
 		}
-		execOps(u.ops, w)
 	}
 	return false
 }
@@ -580,32 +582,45 @@ func (ic *IncrementalComparer) compareWith(sc *icScratch, bi int, impl *logic.Ci
 
 	sc.acc.reset(&e.spec)
 	out := sc.out[:len(e.ref.Outputs)]
+	w := sc.packed
 	cleanBatches := 0
-	var decodeSec float64
-	for b := 0; b < e.nBatches; b++ {
-		base := ic.base[b]
-		if sc.runBatch(base) {
-			// Block outputs match the committed state: the batch's metrics
-			// are exactly the cached committed partial.
-			sc.acc.fold(&ic.stats[b])
-			cleanBatches++
+	var decode time.Duration
+	for b0 := 0; b0 < e.nBatches; b0 += groupLanes {
+		group := ic.base[b0:min(b0+groupLanes, e.nBatches)]
+		dirty := sc.runGroup(group)
+		if dirty == 0 {
+			// Block outputs match the committed state in every batch: the
+			// group's metrics are exactly the cached committed partials.
+			for b := b0; b < b0+len(group); b++ {
+				sc.acc.fold(&ic.stats[b])
+			}
+			cleanBatches += len(group)
 			continue
 		}
-		mask := ^uint64(0)
-		if b == e.nBatches-1 {
-			mask = e.lastMask
-		}
+		// Decode per batch, batches ascending, so the float association is
+		// the one every other path uses.
 		dstart := time.Now()
-		w := sc.slots
-		for i, src := range sc.outSrc {
-			out[i] = w[src]
+		for l := range group {
+			b := b0 + l
+			if dirty&(1<<l) == 0 {
+				sc.acc.fold(&ic.stats[b])
+				cleanBatches++
+				continue
+			}
+			mask := ^uint64(0)
+			if b == e.nBatches-1 {
+				mask = e.lastMask
+			}
+			for i, src := range sc.outSrc {
+				out[i] = w[int(src)*groupLanes+l]
+			}
+			sc.acc.add(out, e.refOut[b], e.refVals[b], mask)
 		}
-		sc.acc.add(out, e.refOut[b], e.refVals[b], mask)
-		decodeSec += time.Since(dstart).Seconds()
+		decode += time.Since(dstart)
 	}
 	rep := sc.acc.report(e.samples, e.exhaustive)
 	mSimSeconds.Add(time.Since(compiled).Seconds())
-	mDecodeSeconds.Add(decodeSec)
+	mDecodeSeconds.Add(decode.Seconds())
 	mEvalBatchKind.With("clean").Add(float64(cleanBatches))
 	mEvalBatchKind.With("cone").Add(float64(e.nBatches - cleanBatches))
 	mEvalBatches.Observe(float64(e.nBatches))
@@ -622,17 +637,20 @@ func (ic *IncrementalComparer) Commit(bi int, impl *logic.Circuit) (Report, erro
 	sc := ic.getScratch()
 	defer ic.putScratch(sc)
 	ic.compile(bi, impl, sc)
-	for b := 0; b < ic.eval.nBatches; b++ {
-		base := ic.base[b]
-		if sc.runBatch(base) {
-			continue // batch unaffected; cache already correct
-		}
-		// Fold every recomputed node into the cache. dirtyList holds the
-		// statically-written reference nodes, all of which the program
-		// computed for this batch.
-		w := sc.slots
-		for _, n := range sc.dirtyList {
-			base[n] = w[n]
+	w := sc.packed
+	for b0 := 0; b0 < ic.eval.nBatches; b0 += groupLanes {
+		group := ic.base[b0:min(b0+groupLanes, ic.eval.nBatches)]
+		dirty := sc.runGroup(group)
+		for l, base := range group {
+			if dirty&(1<<l) == 0 {
+				continue // batch unaffected; cache already correct
+			}
+			// Fold every recomputed node into the cache. dirtyList holds the
+			// statically-written reference nodes, all of which the program
+			// computed for this batch.
+			for _, n := range sc.dirtyList {
+				base[n] = w[int(n)*groupLanes+l]
+			}
 		}
 	}
 	ic.impls[bi] = impl
@@ -696,26 +714,4 @@ func (s *Shard) CompareCandidate(bi int, impl *logic.Circuit) (Report, error) {
 	rep, err := s.ic.compareWith(&s.sc, bi, impl)
 	s.sc.clearMarks()
 	return rep, err
-}
-
-// PlanStats instruments one candidate evaluation for benchmarking and
-// observability: the compiled op count, the number of batches whose change
-// wave died at the block boundary (evaluated for free from cached partials),
-// and the number of batches that re-simulated the cone.
-func (ic *IncrementalComparer) PlanStats(bi int, impl *logic.Circuit) (ops, cleanBatches, coneBatches int) {
-	sc := ic.getScratch()
-	defer ic.putScratch(sc)
-	ic.compile(bi, impl, sc)
-	ops = len(sc.implOps)
-	for ui := range sc.cone {
-		ops += len(sc.cone[ui].ops)
-	}
-	for b := 0; b < ic.eval.nBatches; b++ {
-		if sc.runBatch(ic.base[b]) {
-			cleanBatches++
-		} else {
-			coneBatches++
-		}
-	}
-	return
 }

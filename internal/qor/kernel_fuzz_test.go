@@ -74,7 +74,7 @@ func TestKernelFuzzDifferential(t *testing.T) {
 			if err != nil || len(blocks) == 0 {
 				t.Skipf("decompose: %v (%d blocks)", err, len(blocks))
 			}
-			samples := 1 << (7 + rng.Intn(3))
+			samples := fuzzSampleCounts[rng.Intn(len(fuzzSampleCounts))]
 			ic, err := qor.NewIncrementalComparer(prepared, spec, blocks, samples, seed)
 			if err != nil {
 				t.Fatal(err)

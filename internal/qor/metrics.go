@@ -20,9 +20,9 @@ var (
 		"Cumulative time in the per-batch simulate/fold loop of candidate evals.")
 	// Decode time is a subset of the simulate window above; the quotient is
 	// the share of candidate evaluation spent in computeBatchStats (qor.go).
-	// Timed per dirty batch — clean batches fold cached partials and
-	// skip the decode entirely, so the two extra clock reads only land where
-	// real decode work happens.
+	// Timed once per group of eight batches that holds a dirty batch — clean
+	// groups fold cached partials and skip the decode entirely, so the two
+	// extra clock reads only land where real decode work happens.
 	mDecodeSeconds = telemetry.Default().Counter(
 		"blasys_qor_eval_decode_seconds_total",
 		"Cumulative time in the metric decode of candidate evals (subset of the simulate phase).")

@@ -247,6 +247,15 @@ func TestLaneDecodeEdgeCases(t *testing.T) {
 		// 2*MaxLanes+3 candidates: at MaxLanes lanes the last chunk is a
 		// 3-wide tail.
 		{"maxlanes-tail", 7, 10, []int{10}, []bool{false}, 128, 2*qor.MaxLanes + 3},
+		// 1, 7, 8, 9 and 17 Monte-Carlo batches: the incremental runner
+		// evaluates groups of eight consecutive batches, so these are a lone
+		// partial group, one group one batch short, one full group, a full
+		// group plus a one-batch tail, and two full groups plus a tail.
+		{"group-1-batch", 14, 10, []int{6, 4}, []bool{false, true}, 64, 0},
+		{"group-7-batches", 14, 10, []int{6, 4}, []bool{false, true}, 448, 0},
+		{"group-8-batches", 14, 10, []int{6, 4}, []bool{false, true}, 512, 0},
+		{"group-9-batches", 14, 10, []int{6, 4}, []bool{false, true}, 576, 0},
+		{"group-17-batches", 14, 10, []int{6, 4}, []bool{false, true}, 1088, 0},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -261,6 +270,11 @@ func TestLaneDecodeEdgeCases(t *testing.T) {
 		})
 	}
 }
+
+// fuzzSampleCounts are the sample counts the fuzz tests draw from: powers of
+// two, plus 7, 9 and 17 batches, which end the incremental runner's groups
+// of eight batches short of a full group.
+var fuzzSampleCounts = []int{64, 128, 256, 512, 1024, 448, 576, 1088}
 
 // TestLaneDecodeFuzzDifferential differences every combinational path
 // against the oracle on seeded random circuits, each with a random split of
@@ -283,7 +297,7 @@ func TestLaneDecodeFuzzDifferential(t *testing.T) {
 				signed = append(signed, rng.Intn(2) == 0)
 				left -= w
 			}
-			samples := 1 << (6 + rng.Intn(5))
+			samples := fuzzSampleCounts[rng.Intn(len(fuzzSampleCounts))]
 			checkCombinational(t, rng, prepared, blocks, groupedSpec(widths, signed), samples, seed, exhaustive(inputs, samples), 0)
 		})
 	}
